@@ -16,6 +16,13 @@ cargo build --offline --release --workspace
 echo "== cargo test =="
 cargo test -q --offline --workspace
 
+echo "== benchmark tests =="
+# The benchmark's own output checks: every crash image verifies against
+# its oracle and each torn image decodes to exactly one corrupt block, so
+# a block-codec change that breaks them fails here, not only in a
+# benchmark run.
+cargo test -q --offline --manifest-path elbench/Cargo.toml
+
 echo "== 3-gen lattice smoke =="
 # A small-basket N-generation minimum-space search end to end: exercises
 # the lattice search (anchor pass, pruning bound, dominance memo) through

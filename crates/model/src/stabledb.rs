@@ -98,6 +98,11 @@ impl StableDb {
     pub fn iter(&self) -> impl Iterator<Item = (Oid, ObjectVersion)> + '_ {
         self.versions.iter().map(|(&o, &v)| (o, v))
     }
+
+    /// The whole version map, for callers that copy it wholesale.
+    pub fn versions(&self) -> &FxHashMap<Oid, ObjectVersion> {
+        &self.versions
+    }
 }
 
 /// Ground-truth committed state, maintained by the workload/test harness.

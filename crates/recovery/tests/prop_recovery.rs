@@ -8,8 +8,8 @@ use elog_model::{
     CommittedOracle, DataRecord, FlushConfig, GenId, LogConfig, LogRecord, ObjectVersion, Oid,
     StableDb, Tid, TxMark, TxRecord,
 };
-use elog_recovery::{check_against_oracle, recover, scan_blocks, RecoveredState};
-use elog_sim::SimTime;
+use elog_recovery::{check_against_oracle, recover, scan_blocks, LogImage, RecoveredState};
+use elog_sim::{FxHashMap, SimTime};
 use elog_storage::{Block, BlockAddr};
 use proptest::prelude::*;
 
@@ -266,6 +266,106 @@ proptest! {
             let got = canon(&recover(&scan_blocks(singles.iter()), &stable));
             prop_assert_eq!(&got, &reference, "block interleaving changed recovery");
         }
+    }
+}
+
+/// The REDO as first written: build the start state by inserting every
+/// stable entry into an empty map, and let the candidate map grow from
+/// empty. `recover` now clones the stable map and pre-sizes the candidates;
+/// this copy is the reference it must match.
+fn recover_by_reinsert(image: &LogImage, stable: &StableDb) -> RecoveredState {
+    let mut out = RecoveredState {
+        committed_txns: image.committed.len() as u64,
+        ..RecoveredState::default()
+    };
+    for (oid, v) in stable.iter() {
+        out.versions.insert(oid, v);
+    }
+    let mut candidates: FxHashMap<Oid, ObjectVersion> = FxHashMap::default();
+    for d in &image.data {
+        if !image.committed.contains(&d.tid) {
+            out.skipped_uncommitted += 1;
+            continue;
+        }
+        let v = ObjectVersion {
+            tid: d.tid,
+            seq: d.seq,
+            ts: d.ts,
+        };
+        match candidates.get_mut(&d.oid) {
+            Some(existing) if existing.order_key() >= v.order_key() => {}
+            Some(existing) => *existing = v,
+            None => {
+                candidates.insert(d.oid, v);
+            }
+        }
+    }
+    for (oid, v) in candidates {
+        match out.versions.get(&oid) {
+            Some(stable_v) if stable_v.order_key() >= v.order_key() => out.skipped_stale += 1,
+            _ => {
+                out.versions.insert(oid, v);
+                out.redone += 1;
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `recover` equals the insert-loop reference on any image and stable
+    /// database. Log oids are drawn from `0..12` and stable oids from
+    /// `0..24`, so half the stable objects never appear in the log
+    /// (stable-only). `flushed` installs a log record's own version into the
+    /// stable DB, leaving its log copy stale. Timestamps come from `0..4`, so
+    /// equal-timestamp ties between transactions are common both among log
+    /// candidates and between a candidate and the stable version.
+    #[test]
+    fn redo_matches_insert_loop_reference(
+        recs in proptest::collection::vec((0u64..8, 0u64..12, 1u32..4, 0u64..4), 0..48),
+        commit in proptest::collection::vec(proptest::bool::weighted(0.7), 8..9),
+        stable_seed in proptest::collection::vec((0u64..8, 0u64..24, 1u32..4, 0u64..4), 0..40),
+        flushed in proptest::collection::vec(proptest::bool::weighted(0.3), 48..49),
+    ) {
+        let mut log: Vec<LogRecord> = Vec::new();
+        let mut stable = StableDb::new();
+        for &(tid, oid, seq, ts) in &stable_seed {
+            stable.install(Oid(oid), ObjectVersion {
+                tid: Tid(tid),
+                seq,
+                ts: SimTime::from_millis(ts),
+            });
+        }
+        for (i, &(tid, oid, seq, ts)) in recs.iter().enumerate() {
+            let ts = SimTime::from_millis(ts);
+            log.push(LogRecord::Data(DataRecord {
+                tid: Tid(tid),
+                oid: Oid(oid),
+                seq,
+                ts,
+                size: 100,
+            }));
+            if flushed[i] {
+                stable.install(Oid(oid), ObjectVersion { tid: Tid(tid), seq, ts });
+            }
+        }
+        for (t, &c) in commit.iter().enumerate() {
+            if c {
+                log.push(LogRecord::Tx(TxRecord {
+                    tid: Tid(t as u64),
+                    mark: TxMark::Commit,
+                    ts: SimTime::from_millis(10),
+                    size: 8,
+                }));
+            }
+        }
+        let image = scan_blocks([&pack_gen(0, &log)]);
+        let got = recover(&image, &stable);
+        let want = recover_by_reinsert(&image, &stable);
+        prop_assert_eq!(&got.versions, &want.versions);
+        prop_assert_eq!(canon(&got), canon(&want));
     }
 }
 

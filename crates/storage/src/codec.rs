@@ -11,20 +11,24 @@
 //! accounting bytes, which is exactly why the two notions are kept distinct
 //! (DESIGN.md §5).
 //!
-//! Layout (little-endian):
+//! Layout (little-endian, codec version 2):
 //!
 //! ```text
 //! block  := magic u32 | version u16 | gen u8 | pad u8 | seq u64
 //!         | written_at u64 | record_count u32 | payload_used u32
-//!         | body_len u32 | body_crc u32 | pad [u8;8]        -- 48 bytes
+//!         | body_len u32 | crc u32 | pad [u8;8]             -- 48 bytes
 //!         | body
 //! data   := 0x00 | tid u64 | oid u64 | seq u32 | ts u64 | size u32
 //!         | payload_len u16 | payload [u8; payload_len]     -- 35+len
 //! tx     := mark u8 (1|2|3) | tid u64 | ts u64 | size u32   -- 21 bytes
 //! ```
+//!
+//! `crc` is the CRC-32 of header bytes `0..36` and `40..48` followed by the
+//! body, so a flipped header field (generation, sequence, timestamp,
+//! counts) is caught exactly like a flipped body byte.
 
 use crate::block::{Block, BlockAddr};
-use crate::checksum::crc32;
+use crate::checksum::update;
 use bytes::{Buf, BufMut};
 use elog_model::{
     payload_matches, synth_payload_extend, DataRecord, GenId, LogRecord, Oid, Tid, TxMark, TxRecord,
@@ -34,13 +38,15 @@ use std::fmt;
 
 /// `"ELOG"` in ASCII.
 const MAGIC: u32 = 0x454C_4F47;
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 /// Fixed header size; mirrors the paper's 48 reserved bytes per block.
 pub const BLOCK_HEADER_BYTES: usize = 48;
 /// Wire overhead of a data record before its payload.
 pub const DATA_RECORD_HEADER_BYTES: usize = 35;
 /// Wire size of a tx record.
 pub const TX_RECORD_BYTES: usize = 21;
+/// Byte range of the CRC field inside the header.
+const CRC_FIELD: std::ops::Range<usize> = 36..40;
 
 /// Decoding failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,7 +59,7 @@ pub enum CodecError {
     BadChecksum {
         /// CRC stored in the header.
         expected: u32,
-        /// CRC computed over the body.
+        /// CRC computed over the header (minus the CRC field) and body.
         actual: u32,
     },
     /// Unknown record tag.
@@ -70,7 +76,7 @@ impl fmt::Display for CodecError {
             CodecError::BadChecksum { expected, actual } => {
                 write!(
                     f,
-                    "checksum mismatch: header {expected:#010x}, body {actual:#010x}"
+                    "checksum mismatch: stored {expected:#010x}, computed {actual:#010x}"
                 )
             }
             CodecError::BadRecordTag(t) => write!(f, "unknown record tag {t:#04x}"),
@@ -81,6 +87,20 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Payload bytes a data record of accounting size `size` carries on the
+/// wire.
+fn payload_len(size: u32) -> usize {
+    (size as usize).saturating_sub(DATA_RECORD_HEADER_BYTES)
+}
+
+/// Encoded length of one record.
+fn wire_len(r: &LogRecord) -> usize {
+    match r {
+        LogRecord::Data(d) => DATA_RECORD_HEADER_BYTES + payload_len(d.size),
+        LogRecord::Tx(_) => TX_RECORD_BYTES,
+    }
+}
+
 fn encode_record(out: &mut Vec<u8>, r: &LogRecord) {
     match r {
         LogRecord::Data(d) => {
@@ -90,7 +110,7 @@ fn encode_record(out: &mut Vec<u8>, r: &LogRecord) {
             out.put_u32_le(d.seq);
             out.put_u64_le(d.ts.as_micros());
             out.put_u32_le(d.size);
-            let payload_len = (d.size as usize).saturating_sub(DATA_RECORD_HEADER_BYTES);
+            let payload_len = payload_len(d.size);
             out.put_u16_le(payload_len as u16);
             // Stream the payload straight into the output buffer: no
             // per-record temporary.
@@ -156,13 +176,18 @@ fn decode_record(buf: &mut &[u8]) -> Result<LogRecord, CodecError> {
     }
 }
 
-/// Serialises a block: 48-byte checksummed header plus encoded records.
+/// The CRC of an encoded block (header plus body, `bytes` ending at the
+/// body's end): every byte except the CRC field itself.
+fn block_crc(bytes: &[u8]) -> u32 {
+    let state = update(0xFFFF_FFFF, &bytes[..CRC_FIELD.start]);
+    update(state, &bytes[CRC_FIELD.end..]) ^ 0xFFFF_FFFF
+}
+
+/// Serialises a block: 48-byte header plus encoded records, all under one
+/// checksum.
 pub fn encode_block(b: &Block) -> Vec<u8> {
-    let mut body = Vec::with_capacity(2048);
-    for r in &b.records {
-        encode_record(&mut body, r);
-    }
-    let mut out = Vec::with_capacity(BLOCK_HEADER_BYTES + body.len());
+    let body_len: usize = b.records.iter().map(wire_len).sum();
+    let mut out = Vec::with_capacity(BLOCK_HEADER_BYTES + body_len);
     out.put_u32_le(MAGIC);
     out.put_u16_le(VERSION);
     out.put_u8(b.addr.gen.0);
@@ -171,11 +196,16 @@ pub fn encode_block(b: &Block) -> Vec<u8> {
     out.put_u64_le(b.written_at.as_micros());
     out.put_u32_le(b.records.len() as u32);
     out.put_u32_le(b.payload_used);
-    out.put_u32_le(body.len() as u32);
-    out.put_u32_le(crc32(&body));
+    out.put_u32_le(body_len as u32);
+    out.put_u32_le(0); // crc, patched below
     out.extend_from_slice(&[0u8; 8]);
     debug_assert_eq!(out.len(), BLOCK_HEADER_BYTES);
-    out.extend_from_slice(&body);
+    for r in &b.records {
+        encode_record(&mut out, r);
+    }
+    debug_assert_eq!(out.len(), BLOCK_HEADER_BYTES + body_len);
+    let crc = block_crc(&out);
+    out[CRC_FIELD].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -198,10 +228,11 @@ pub fn surface_bytes(encoded: &[Vec<u8>]) -> u64 {
 }
 
 /// Parses and validates a serialised block.
-pub fn decode_block(mut buf: &[u8]) -> Result<Block, CodecError> {
-    if buf.len() < BLOCK_HEADER_BYTES {
+pub fn decode_block(bytes: &[u8]) -> Result<Block, CodecError> {
+    if bytes.len() < BLOCK_HEADER_BYTES {
         return Err(CodecError::Truncated);
     }
+    let mut buf = bytes;
     let magic = buf.get_u32_le();
     let version = buf.get_u16_le();
     if magic != MAGIC || version != VERSION {
@@ -219,15 +250,19 @@ pub fn decode_block(mut buf: &[u8]) -> Result<Block, CodecError> {
     if buf.len() < body_len {
         return Err(CodecError::Truncated);
     }
-    let body = &buf[..body_len];
-    let actual_crc = crc32(body);
+    let actual_crc = block_crc(&bytes[..BLOCK_HEADER_BYTES + body_len]);
     if actual_crc != expected_crc {
         return Err(CodecError::BadChecksum {
             expected: expected_crc,
             actual: actual_crc,
         });
     }
-    let mut cursor = body;
+    // Every record takes at least a tx record's wire bytes, so a larger
+    // count cannot fit the body: reject it before it sizes an allocation.
+    if record_count > body_len / TX_RECORD_BYTES {
+        return Err(CodecError::Truncated);
+    }
+    let mut cursor = &buf[..body_len];
     let mut records = Vec::with_capacity(record_count);
     for _ in 0..record_count {
         records.push(decode_record(&mut cursor)?);
@@ -312,6 +347,13 @@ mod tests {
         assert_eq!(back.payload_used, 0);
     }
 
+    /// Recomputes the CRC after a deliberate edit, so only the checks
+    /// behind the checksum can catch it.
+    fn reseal(bytes: &mut [u8]) {
+        let crc = block_crc(bytes);
+        bytes[CRC_FIELD].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
     fn detects_corruption_anywhere_in_body() {
         let bytes = encode_block(&sample_block());
@@ -346,8 +388,7 @@ mod tests {
         // can catch it.
         let n = bytes.len();
         bytes[n - 30] ^= 0x01;
-        let body_crc = crc32(&bytes[BLOCK_HEADER_BYTES..]);
-        bytes[36..40].copy_from_slice(&body_crc.to_le_bytes());
+        reseal(&mut bytes);
         // Tampering lands either in the data payload (BadPayload) or in a
         // trailing tx record's fields (which decode but differ) — here the
         // offset targets the data payload.
@@ -372,9 +413,37 @@ mod tests {
         );
         let mut bytes = encode_block(&b);
         bytes[BLOCK_HEADER_BYTES] = 0x77; // stomp the tag
-        let body_crc = crc32(&bytes[BLOCK_HEADER_BYTES..]);
-        bytes[36..40].copy_from_slice(&body_crc.to_le_bytes());
+        reseal(&mut bytes);
         assert_eq!(decode_block(&bytes), Err(CodecError::BadRecordTag(0x77)));
+    }
+
+    #[test]
+    fn detects_corruption_anywhere_in_header() {
+        // Every header field sits under the checksum: a flip in the
+        // generation, sequence, timestamp or counts no longer decodes to a
+        // block at the wrong address. Magic and version flips are
+        // `BadHeader`; a body_len flip that overruns the buffer is
+        // `Truncated`; everything else is `BadChecksum`.
+        let bytes = encode_block(&sample_block());
+        for i in 6..BLOCK_HEADER_BYTES {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x01;
+            match decode_block(&bad) {
+                Err(CodecError::BadChecksum { .. }) => {}
+                Err(CodecError::Truncated) if (32..36).contains(&i) => {}
+                other => panic!("header byte {i}: expected checksum error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_record_count_that_cannot_fit_the_body() {
+        // A forged count with a valid CRC must be rejected before it sizes
+        // an allocation (u32::MAX records would abort the process).
+        let mut bytes = encode_block(&sample_block());
+        bytes[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut bytes);
+        assert_eq!(decode_block(&bytes), Err(CodecError::Truncated));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * [`block`] — the typed in-memory image of one 2048-byte log block
 //!   (48 bytes of bookkeeping + 2000 bytes of record payload);
-//! * [`checksum`] — a CRC-32 (IEEE) implementation for block integrity,
+//! * [`checksum`] — a slicing-by-16 CRC-32 (IEEE) for block integrity,
 //!   written in-tree to keep the dependency set minimal;
 //! * [`codec`] — a self-describing wire format for blocks and records, used
 //!   by the recovery path that reads real bytes (see DESIGN.md §5 for how
